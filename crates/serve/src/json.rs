@@ -4,7 +4,13 @@
 //! only the plain JSON value grammar: objects, arrays, strings with the
 //! standard escapes, `f64` numbers, booleans, and null. This module
 //! implements exactly that, with byte offsets in every parse error so a
-//! malformed request line can be diagnosed from the wire.
+//! malformed request line can be diagnosed from the wire. Nesting is
+//! capped at [`MAX_DEPTH`]: the parser recurses per level, and a line of
+//! brackets from the wire must cost a `parse` error, not the stack.
+
+/// Deepest array/object nesting [`Json::parse`] accepts; no protocol
+/// message needs more than a handful of levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +55,7 @@ impl Json {
     ///
     /// [`JsonError`] with the offending byte offset.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -177,6 +183,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -215,8 +223,21 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => {
+                self.depth += 1;
+                let value = self.object();
+                self.depth -= 1;
+                value
+            }
+            Some(b'[') => {
+                self.depth += 1;
+                let value = self.array();
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -430,6 +451,18 @@ mod tests {
             let err = Json::parse(bad).unwrap_err();
             assert!(err.offset <= bad.len(), "{bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let err = Json::parse(&"[".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = Json::parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct PoolConfig {
     /// panel sweep ([`QueryEngine::eccentricity_batch`]). `1` disables
     /// coalescing (clamped to at least 1). Per-request deadlines, cache
     /// keys, and reply ordering are preserved; answers are bitwise
-    /// identical to the scalar path.
+    /// identical to one-at-a-time queries.
     pub batch_window: usize,
 }
 
@@ -138,7 +138,7 @@ pub struct DrainReport {
 /// on the worker thread. A channel-backed closure serves blocking
 /// callers ([`ServePool::submit`]); the event-loop transport passes a
 /// closure that routes the response to its reactor and wakes it.
-type Reply = Box<dyn FnOnce(Response) + Send>;
+pub(crate) type Reply = Box<dyn FnOnce(Response) + Send>;
 
 struct Job {
     env: RequestEnvelope,
@@ -658,7 +658,8 @@ fn tier_name(tier: QueryTier) -> &'static str {
 
 /// Requests the coalescing drain may batch into one flush: the
 /// eccentricity family, whose misses share one panel sweep. Everything
-/// else (mutations, what-ifs, stats) keeps the scalar path.
+/// else (mutations, what-ifs, stats) runs alone or as a batch's last
+/// slot, through [`execute`].
 fn coalescible(request: &Request) -> bool {
     matches!(request, Request::Ecc { .. } | Request::Radius | Request::Diameter)
 }
@@ -668,8 +669,8 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared) -> WorkerExit {
         // Hold the lock only for the blocking recv (plus a non-blocking
         // coalescing drain); execution runs unlocked so workers overlap
         // on distinct jobs. A non-coalescible job pulled mid-drain cannot
-        // be pushed back, so it is carried and processed after the batch.
-        let (mut batch, carry) = {
+        // be pushed back, so it rides along as the batch's last slot.
+        let batch = {
             let guard = match rx.lock() {
                 Ok(guard) => guard,
                 Err(_) => return WorkerExit::Clean,
@@ -678,170 +679,80 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared) -> WorkerExit {
                 return WorkerExit::Clean; // channel closed: shutdown
             };
             let mut batch = Vec::with_capacity(shared.batch_window.min(16));
-            let mut carry = None;
+            let open = shared.batch_window > 1 && coalescible(&first.env.request);
             batch.push(first);
-            if shared.batch_window > 1 && coalescible(&batch[0].env.request) {
-                while batch.len() < shared.batch_window {
-                    match guard.try_recv() {
-                        Ok(next) if coalescible(&next.env.request) => batch.push(next),
-                        Ok(next) => {
-                            carry = Some(next);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
+            while open && batch.len() < shared.batch_window {
+                let Ok(next) = guard.try_recv() else { break };
+                let last = !coalescible(&next.env.request);
+                batch.push(next);
+                if last {
+                    break;
                 }
             }
-            (batch, carry)
+            batch
         };
         if shared.batch_window > 1 && coalescible(&batch[0].env.request) {
+            let occupancy = batch.iter().filter(|job| coalescible(&job.env.request)).count();
             shared.batch_flushes.fetch_add(1, Ordering::Relaxed);
-            shared.batch_occupancy_sum.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            if batch.len() >= 2 {
-                shared.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            shared.batch_occupancy_sum.fetch_add(occupancy as u64, Ordering::Relaxed);
+            if occupancy >= 2 {
+                shared.batched_requests.fetch_add(occupancy as u64, Ordering::Relaxed);
             }
         }
-        let mut exit = if batch.len() >= 2 {
-            process_batch(shared, batch)
-        } else {
-            process_one(shared, batch.pop().expect("batch holds the dequeued job"))
-        };
-        // The carry is owned by this worker, not the queue: it must be
-        // answered even when the batch panicked this thread toward exit.
-        if let Some(job) = carry {
-            exit = exit.or(process_one(shared, job));
-        }
-        if let Some(reason) = exit {
+        if let Some(reason) = process(shared, batch) {
             return reason;
         }
     }
 }
 
-/// Answer one job on the scalar path. Returns `Some(WorkerExit)` when the
-/// worker thread must exit (contained panic); `None` to keep looping.
-fn process_one(shared: &Shared, job: Job) -> Option<WorkerExit> {
-    let started = Instant::now();
-    let queue_micros = started.duration_since(job.enqueued).as_micros() as u64;
-    let past_drain = shared
-        .drain_deadline
-        .lock()
-        .ok()
-        .and_then(|g| *g)
-        .is_some_and(|deadline| started > deadline);
-    let response = if past_drain {
-        shared.dropped_on_drain.fetch_add(1, Ordering::SeqCst);
-        Response::error(
-            job.env.id,
-            job.env.request.op_name(),
-            ErrorKind::Draining,
-            format!("dropped: still queued {queue_micros}us past the drain deadline"),
-        )
-    } else if job.deadline.is_some_and(|d| started > d) {
-        Response::error(
-            job.env.id,
-            job.env.request.op_name(),
-            ErrorKind::DeadlineExceeded,
-            format!("deadline expired after {queue_micros}us in queue"),
-        )
-    } else {
-        // Containment boundary: a panic below this line costs this
-        // one request (answered with `internal`) and this one worker
-        // thread (respawned by the supervisor) — never the pool.
-        match catch_unwind(AssertUnwindSafe(|| execute(shared, job.env.request))) {
-            Ok((outcome, cached, tier)) => {
-                let tier =
-                    if matches!(outcome, Outcome::Error { .. }) { None } else { Some(tier) };
-                Response {
-                    id: job.env.id,
-                    op: job.env.request.op_name(),
-                    outcome,
-                    tier: tier.map(tier_name),
-                    cached,
-                    compute_micros: started.elapsed().as_micros() as u64,
-                    queue_micros,
-                }
-            }
-            Err(payload) => {
-                shared.panics.fetch_add(1, Ordering::SeqCst);
-                let detail = panic_message(payload.as_ref());
-                let response = Response::error(
-                    job.env.id,
-                    job.env.request.op_name(),
-                    ErrorKind::Internal,
-                    format!(
-                        "worker panicked while serving this request: {detail}; \
-                         the worker was respawned and the pool keeps serving"
-                    ),
-                );
-                shared.served.fetch_add(1, Ordering::SeqCst);
-                (job.reply)(response);
-                // Exit so the half-unwound thread is discarded; the
-                // supervisor spawns a clean replacement.
-                return Some(WorkerExit::Panicked);
-            }
-        }
-    };
-    shared.served.fetch_add(1, Ordering::SeqCst);
-    (job.reply)(response);
-    None
-}
-
-/// Answer a coalesced flush of eccentricity-family jobs with one batched
-/// sweep.
+/// Answer one dequeued batch: a run of eccentricity-family jobs (a batch
+/// of one included), possibly ending in one job of another op. Returns
+/// `Some(WorkerExit)` when the worker thread must exit (contained panic);
+/// `None` to keep looping.
 ///
-/// Per-request semantics are identical to the scalar path: drain and
-/// deadline checks run per job, every request performs exactly one cache
-/// lookup under its own key (a hit replies immediately and is never
-/// recomputed), and `ecc` cache misses share a single
-/// [`QueryEngine::eccentricity_batch`] call (full-scan batch on mutated
-/// epochs). `radius` / `diameter` misses share one full sweep that caches
-/// both extremes. The whole compute phase answers against one epoch view,
-/// exactly like a scalar request does.
+/// Per job, in slot order: the drain and request deadlines (drain wins;
+/// both answer without touching the engine), then the `worker.compute`
+/// failpoint, validation, and exactly one cache lookup. Hits answer
+/// immediately. `ecc` misses share one [`QueryEngine::eccentricity_batch`]
+/// call (full-scan batch on mutated epochs); `radius` / `diameter` misses
+/// share one sweep that caches both extremes. All lookups precede all
+/// inserts, so duplicate sources are two misses sharing one computation,
+/// never a fabricated hit. A job of any other op runs last, through
+/// [`execute`]. The batch answers against one epoch view.
 ///
-/// Panic containment matches the scalar path, widened to the flush: a
-/// panic (engine bug or armed `worker.compute` failpoint) answers every
-/// not-yet-answered job in the flush with an `internal` error, then exits
-/// the worker for the supervisor to respawn. Every job gets exactly one
-/// reply and one `served` increment on every path.
-fn process_batch(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
+/// The compute phase runs under one `catch_unwind`: a panic (engine bug
+/// or armed `worker.compute` failpoint) answers every not-yet-answered
+/// slot with an `internal` error, then exits the worker for the
+/// supervisor to respawn. Every job gets exactly one reply and one
+/// `served` increment on every path.
+fn process(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
     let started = Instant::now();
     let drain_deadline = shared.drain_deadline.lock().ok().and_then(|g| *g);
-    let mut slots: Vec<Option<Job>> = jobs.into_iter().map(Some).collect();
-    // Per-job admission checks first, exactly as the scalar path orders
-    // them: drain overrides deadline, both answer without touching the
-    // engine.
-    for slot in slots.iter_mut() {
-        let job = slot.as_ref().expect("slot still owned");
+    let reply = |job: Job, response: Response| {
+        shared.served.fetch_add(1, Ordering::SeqCst);
+        (job.reply)(response);
+    };
+    let mut slots: Vec<Option<Job>> = Vec::with_capacity(jobs.len());
+    for job in jobs {
         let queue_micros = started.duration_since(job.enqueued).as_micros() as u64;
+        let (id, op) = (job.env.id, job.env.request.op_name());
         if drain_deadline.is_some_and(|deadline| started > deadline) {
             shared.dropped_on_drain.fetch_add(1, Ordering::SeqCst);
-            let job = slot.take().expect("slot still owned");
-            let response = Response::error(
-                job.env.id,
-                job.env.request.op_name(),
-                ErrorKind::Draining,
-                format!("dropped: still queued {queue_micros}us past the drain deadline"),
-            );
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            (job.reply)(response);
+            let message =
+                format!("dropped: still queued {queue_micros}us past the drain deadline");
+            reply(job, Response::error(id, op, ErrorKind::Draining, message));
         } else if job.deadline.is_some_and(|d| started > d) {
-            let job = slot.take().expect("slot still owned");
-            let response = Response::error(
-                job.env.id,
-                job.env.request.op_name(),
-                ErrorKind::DeadlineExceeded,
-                format!("deadline expired after {queue_micros}us in queue"),
-            );
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            (job.reply)(response);
+            let message = format!("deadline expired after {queue_micros}us in queue");
+            reply(job, Response::error(id, op, ErrorKind::DeadlineExceeded, message));
+        } else {
+            slots.push(Some(job));
         }
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let view = shared.live.view();
-        let tier = view.tier;
         let fp = view.fingerprint;
         let n = view.engine.graph().node_count();
-        let finish = |job: Job, outcome: Outcome, cached: bool| {
+        let finish = |job: Job, (outcome, cached, tier): (Outcome, bool, QueryTier)| {
             let tier = if matches!(outcome, Outcome::Error { .. }) { None } else { Some(tier) };
             let response = Response {
                 id: job.env.id,
@@ -852,105 +763,80 @@ fn process_batch(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
                 compute_micros: started.elapsed().as_micros() as u64,
                 queue_micros: started.duration_since(job.enqueued).as_micros() as u64,
             };
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            (job.reply)(response);
+            reply(job, response);
         };
-        // Phase 1 — per-job failpoint, validation, and the one cache
-        // lookup each request is entitled to. Hits answer immediately;
-        // misses queue for the shared sweeps.
+        let ecc = |value: f64, node: usize, cached: bool| {
+            (Outcome::Ecc { value, node }, cached, view.tier)
+        };
         let mut ecc_misses: Vec<(usize, usize)> = Vec::new(); // (slot, v)
-        let mut sweep_misses: Vec<usize> = Vec::new(); // slot (radius/diameter)
+        let mut sweep_misses: Vec<usize> = Vec::new(); // radius/diameter slots
+        let mut other = None;
         for (idx, slot) in slots.iter_mut().enumerate() {
             let Some(job) = slot.as_ref() else { continue };
             if let Err(message) = failpoint::hit("worker.compute") {
-                let job = slot.take().expect("slot still owned");
-                finish(job, Outcome::Error { kind: ErrorKind::Internal, message }, false);
+                let error = Outcome::Error { kind: ErrorKind::Internal, message };
+                finish(slot.take().expect("slot still owned"), (error, false, view.tier));
                 continue;
             }
-            match job.env.request {
-                Request::Ecc { v } => {
-                    if v >= n {
-                        let job = slot.take().expect("slot still owned");
-                        let message = format!("v = {v} out of range (graph has {n} nodes)");
-                        finish(
-                            job,
-                            Outcome::Error { kind: ErrorKind::BadRequest, message },
-                            false,
-                        );
-                    } else if let Some(hit) = shared.cache.get(&CacheKey::Ecc(fp, v)) {
-                        let job = slot.take().expect("slot still owned");
-                        finish(job, Outcome::Ecc { value: hit.value, node: hit.node }, true);
-                    } else {
-                        ecc_misses.push((idx, v));
-                    }
+            let key = match job.env.request {
+                Request::Ecc { v } if v >= n => {
+                    let message = format!("v = {v} out of range (graph has {n} nodes)");
+                    let error = Outcome::Error { kind: ErrorKind::BadRequest, message };
+                    finish(slot.take().expect("slot still owned"), (error, false, view.tier));
+                    continue;
                 }
-                Request::Radius | Request::Diameter => {
-                    let key = match job.env.request {
-                        Request::Radius => CacheKey::Radius(fp),
-                        _ => CacheKey::Diameter(fp),
-                    };
-                    if let Some(hit) = shared.cache.get(&key) {
-                        let job = slot.take().expect("slot still owned");
-                        finish(job, Outcome::Ecc { value: hit.value, node: hit.node }, true);
-                    } else {
-                        sweep_misses.push(idx);
-                    }
+                Request::Ecc { v } => CacheKey::Ecc(fp, v),
+                Request::Radius => CacheKey::Radius(fp),
+                Request::Diameter => CacheKey::Diameter(fp),
+                _ => {
+                    other = Some(idx);
+                    continue;
                 }
-                _ => unreachable!("only coalescible requests enter a batch"),
+            };
+            if let Some(hit) = shared.cache.get(&key) {
+                finish(slot.take().expect("slot still owned"), ecc(hit.value, hit.node, true));
+            } else if let CacheKey::Ecc(_, v) = key {
+                ecc_misses.push((idx, v));
+            } else {
+                sweep_misses.push(idx);
             }
         }
-        // Phase 2 — one batched panel sweep answers every `ecc` miss.
-        // Duplicate sources are computed redundantly but bitwise equally;
-        // each slot still inserts/answers under its own key exactly once.
         if !ecc_misses.is_empty() {
             let sources: Vec<usize> = ecc_misses.iter().map(|&(_, v)| v).collect();
-            let answers = match tier {
-                QueryTier::Fast => view.engine.eccentricity_batch(&sources),
-                _ => view.engine.eccentricity_full_scan_batch(&sources),
-            };
-            for (&(idx, v), ans) in ecc_misses.iter().zip(&answers) {
-                let cached = CachedAnswer { value: ans.value, node: ans.farthest };
-                shared.cache.insert(CacheKey::Ecc(fp, v), cached);
-                let job = slots[idx].take().expect("slot still owned");
-                finish(job, Outcome::Ecc { value: cached.value, node: cached.node }, false);
+            for (&(idx, v), ans) in ecc_misses.iter().zip(ecc_batch(&view, &sources)) {
+                shared.cache.insert(CacheKey::Ecc(fp, v), ans);
+                finish(
+                    slots[idx].take().expect("slot still owned"),
+                    ecc(ans.value, ans.node, false),
+                );
             }
         }
-        // Phase 3 — one full sweep answers every `radius`/`diameter`
-        // miss and caches both extremes, like the scalar path.
         if !sweep_misses.is_empty() {
-            let (min, max) = radius_diameter_sweep(shared, &view, n, fp);
+            let (min, max) = radius_diameter_sweep(shared, &view, fp);
             for idx in sweep_misses {
                 let job = slots[idx].take().expect("slot still owned");
-                let chosen = match job.env.request {
-                    Request::Radius => min,
-                    _ => max,
-                };
-                finish(job, Outcome::Ecc { value: chosen.value, node: chosen.node }, false);
+                let chosen = if matches!(job.env.request, Request::Radius) { min } else { max };
+                finish(job, ecc(chosen.value, chosen.node, false));
             }
+        }
+        if let Some(idx) = other {
+            let job = slots[idx].take().expect("slot still owned");
+            let answer = execute(shared, &view, job.env.request);
+            finish(job, answer);
         }
     }));
-    match outcome {
-        Ok(()) => None,
-        Err(payload) => {
-            shared.panics.fetch_add(1, Ordering::SeqCst);
-            let detail = panic_message(payload.as_ref());
-            for slot in slots.iter_mut() {
-                let Some(job) = slot.take() else { continue };
-                let response = Response::error(
-                    job.env.id,
-                    job.env.request.op_name(),
-                    ErrorKind::Internal,
-                    format!(
-                        "worker panicked while serving this request: {detail}; \
-                         the worker was respawned and the pool keeps serving"
-                    ),
-                );
-                shared.served.fetch_add(1, Ordering::SeqCst);
-                (job.reply)(response);
-            }
-            Some(WorkerExit::Panicked)
-        }
+    let Err(payload) = outcome else { return None };
+    shared.panics.fetch_add(1, Ordering::SeqCst);
+    let detail = panic_message(payload.as_ref());
+    for job in slots.into_iter().flatten() {
+        let message = format!(
+            "worker panicked while serving this request: {detail}; \
+             the worker was respawned and the pool keeps serving"
+        );
+        let (id, op) = (job.env.id, job.env.request.op_name());
+        reply(job, Response::error(id, op, ErrorKind::Internal, message));
     }
+    Some(WorkerExit::Panicked)
 }
 
 /// Best-effort extraction of a `panic!` payload message.
@@ -964,27 +850,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn ecc_answer(view: &EpochView, v: usize) -> CachedAnswer {
-    let ans = match view.tier {
-        QueryTier::Fast => view.engine.eccentricity(v),
-        _ => view.engine.eccentricity_full_scan(v),
+/// Eccentricities of `sources` on the view's tier: the hull panel's
+/// batched sweep, or the batched full scan on a mutated epoch whose hull
+/// is stale. Bitwise equal to one-at-a-time answers at any batch size.
+fn ecc_batch(view: &EpochView, sources: &[usize]) -> Vec<CachedAnswer> {
+    let answers = match view.tier {
+        QueryTier::Fast => view.engine.eccentricity_batch(sources),
+        _ => view.engine.eccentricity_full_scan_batch(sources),
     };
-    CachedAnswer { value: ans.value, node: ans.farthest }
+    answers.iter().map(|a| CachedAnswer { value: a.value, node: a.farthest }).collect()
 }
 
-/// One full sweep computing both the radius (min eccentricity) and the
-/// diameter (max); both are inserted into the cache so the sibling query
-/// is a hit. Shared by the scalar path and coalesced flushes.
+/// One sweep over every node computing both the radius (first minimum
+/// eccentricity) and the diameter (first maximum); both are inserted into
+/// the cache so the sibling query is a hit.
 fn radius_diameter_sweep(
     shared: &Shared,
     view: &EpochView,
-    n: usize,
     fp: u64,
 ) -> (CachedAnswer, CachedAnswer) {
+    let nodes: Vec<usize> = (0..view.engine.graph().node_count()).collect();
     let mut min = CachedAnswer { value: f64::INFINITY, node: 0 };
     let mut max = CachedAnswer { value: f64::NEG_INFINITY, node: 0 };
-    for v in 0..n {
-        let ans = ecc_answer(view, v);
+    for (v, ans) in ecc_batch(view, &nodes).into_iter().enumerate() {
         if ans.value < min.value {
             min = CachedAnswer { value: ans.value, node: v };
         }
@@ -997,19 +885,14 @@ fn radius_diameter_sweep(
     (min, max)
 }
 
-/// Run one validated-or-rejected operation, consulting the cache first.
+/// Run one operation outside the eccentricity family against `view`,
+/// consulting the cache first where the op is a pure query.
 ///
-/// The epoch view is fetched once up front: the whole request answers
-/// against one consistent engine even if mutations land concurrently.
 /// Cache keys carry the view's fingerprint, so a mutation implicitly
 /// invalidates every cached answer (old-epoch entries age out of the
-/// LRU). Returns the outcome, whether it was cached, and the view's tier.
-fn execute(shared: &Shared, request: Request) -> (Outcome, bool, QueryTier) {
-    let view = shared.live.view();
+/// LRU). Returns the outcome, whether it was cached, and the tier.
+fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, bool, QueryTier) {
     let tier = view.tier;
-    if let Err(msg) = failpoint::hit("worker.compute") {
-        return (Outcome::Error { kind: ErrorKind::Internal, message: msg }, false, tier);
-    }
     let n = view.engine.graph().node_count();
     let fp = view.fingerprint;
     let bad = |message: String| {
@@ -1019,18 +902,6 @@ fn execute(shared: &Shared, request: Request) -> (Outcome, bool, QueryTier) {
         (node >= n).then(|| format!("{name} = {node} out of range (graph has {n} nodes)"))
     };
     match request {
-        Request::Ecc { v } => {
-            if let Some(msg) = check(v, "v") {
-                return bad(msg);
-            }
-            let key = CacheKey::Ecc(fp, v);
-            if let Some(hit) = shared.cache.get(&key) {
-                return (Outcome::Ecc { value: hit.value, node: hit.node }, true, tier);
-            }
-            let ans = ecc_answer(&view, v);
-            shared.cache.insert(key, ans);
-            (Outcome::Ecc { value: ans.value, node: ans.node }, false, tier)
-        }
         Request::Res { u, v } => {
             if let Some(msg) = check(u, "u").or_else(|| check(v, "v")) {
                 return bad(msg);
@@ -1043,18 +914,6 @@ fn execute(shared: &Shared, request: Request) -> (Outcome, bool, QueryTier) {
             let value = view.engine.resistance(a, b);
             shared.cache.insert(key, CachedAnswer { value, node: 0 });
             (Outcome::Scalar { value }, false, tier)
-        }
-        Request::Radius | Request::Diameter => {
-            let key = match request {
-                Request::Radius => CacheKey::Radius(fp),
-                _ => CacheKey::Diameter(fp),
-            };
-            if let Some(hit) = shared.cache.get(&key) {
-                return (Outcome::Ecc { value: hit.value, node: hit.node }, true, tier);
-            }
-            let (min, max) = radius_diameter_sweep(shared, &view, n, fp);
-            let chosen = if matches!(request, Request::Radius) { min } else { max };
-            (Outcome::Ecc { value: chosen.value, node: chosen.node }, false, tier)
         }
         Request::WhatIfEdge { s, u, v } => {
             if let Some(msg) = check(s, "s").or_else(|| check(u, "u")).or_else(|| check(v, "v"))
@@ -1194,6 +1053,9 @@ fn execute(shared: &Shared, request: Request) -> (Outcome, bool, QueryTier) {
             bad("optimize-* ops are job control, not pool work; submit them through \
              ServePool::run"
                 .to_string())
+        }
+        Request::Ecc { .. } | Request::Radius | Request::Diameter => {
+            unreachable!("the eccentricity family is answered by process()")
         }
         Request::Stats => {
             let cache = shared.cache.stats();

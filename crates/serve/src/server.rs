@@ -1,15 +1,21 @@
 //! Transports: newline-delimited JSON over a pipe or a TCP socket.
 //!
 //! Both transports speak the same protocol (see [`crate::protocol`]): one
-//! JSON object per line in, one JSON object per line out, in order. The
-//! pipe mode drives a single session over any `BufRead`/`Write` pair
-//! (stdin/stdout in the CLI, in-memory buffers in tests). The TCP mode is
-//! a readiness-driven event loop: one reactor thread owns a nonblocking
-//! listener and every connection, multiplexed by `poll(2)` (via
-//! [`crate::sys`], std-only), with the bounded [`ServePool`] behind it
-//! for compute. No thread is ever parked per connection, so a connection
-//! storm or a crowd of slow-loris clients costs file descriptors and
-//! bounded buffers — never threads.
+//! JSON object per line in, one JSON object per line out, in order. Both
+//! also run the same per-session state machine, [`Session`]: line
+//! framing under the `max_line_bytes` cap, a bounded inbox, at most one
+//! request in flight (pool work, inline job control, or a polled job
+//! op), and a bounded output buffer. Only the byte movement differs:
+//!
+//! * [`serve_pipe`] drives one session over any `BufRead`/`Write` pair
+//!   (stdin/stdout in the CLI, in-memory buffers in tests) with blocking
+//!   reads and writes;
+//! * [`TcpServer`] is a readiness-driven event loop: one reactor thread
+//!   owns a nonblocking listener and every connection, multiplexed by
+//!   `poll(2)` (via [`crate::sys`], std-only), with the bounded
+//!   [`ServePool`] behind it for compute. No thread is ever parked per
+//!   connection, so a connection storm or a crowd of slow-loris clients
+//!   costs file descriptors and bounded buffers — never threads.
 //!
 //! Transport code never computes: it parses, submits, and forwards. The
 //! pool's bounded queue is the only admission control for *work*; the
@@ -23,53 +29,52 @@
 //!   lazy timer wheel ([`crate::timer`]); a client that stops reading its
 //!   responses is shed the moment its bounded write buffer would
 //!   overflow, never allowed to wedge the reactor;
-//! * a line-length cap — a client streaming bytes without a newline
-//!   cannot grow a read buffer without bound;
 //! * [`TcpServer::stop`] tears the whole loop down promptly: the reactor
 //!   observes the flag within one tick, closes every connection, and
 //!   joins, even with clients parked mid-connection.
 //!
-//! Per-connection state is a small machine: bytes are framed into lines
-//! across arbitrary TCP segmentation, complete lines queue in a bounded
-//! inbox (reads pause when it fills), at most one request per connection
-//! is in flight in the pool (which keeps responses in request order with
-//! no reorder buffer), and every outbound line — answers, shed notices,
-//! idle warnings — goes through one bounded write buffer flushed as
-//! `poll(2)` reports writability. Pool workers hand finished responses to
-//! the reactor through a completion queue plus a loopback wake socket, so
-//! results are flushed promptly instead of waiting out a poll timeout.
+//! Pool workers hand finished responses back through a reply closure: a
+//! channel the pipe driver waits on, or (TCP) a completion queue plus a
+//! loopback wake socket, so results are flushed promptly instead of
+//! waiting out a poll timeout.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::failpoint;
-use crate::pool::{ServePool, SubmitError};
+use crate::pool::{Reply, ServePool, SubmitError};
 use crate::protocol::{parse_request, render_job_event, ErrorKind, Outcome, Request, Response};
 use crate::sys::{self, PollFd};
 use crate::timer::TimerWheel;
 
-/// How long one `optimize-events` follow tick blocks waiting for a fresh
-/// event before re-checking the job's terminal state (pipe mode only; the
-/// reactor polls followers nonblockingly every loop tick).
-const FOLLOW_TICK: Duration = Duration::from_millis(250);
-
-/// Complete-but-undispatched request lines buffered per connection before
-/// the reactor stops reading from its socket (backpressure by unpolled
-/// bytes, bounded by the kernel receive buffer).
+/// Complete-but-undispatched request lines buffered per session before
+/// the transport stops reading (backpressure by unread bytes, bounded by
+/// the kernel receive buffer).
 const INBOX_MAX: usize = 128;
 
+/// Bytes handed to a session per read, on either transport.
+const READ_CHUNK: usize = 4096;
+
 /// Socket reads per connection per tick; bounds one loud client's share
-/// of a reactor tick at `READ_ROUNDS × 4096` bytes.
+/// of a reactor tick at `READ_ROUNDS × READ_CHUNK` bytes.
 const READ_ROUNDS: usize = 16;
 
 /// How long `optimize-result` with `"wait":true` may stay pending on a
-/// connection before answering with the job's current state (mirrors the
+/// session before answering with the job's current state (mirrors the
 /// pool's blocking-path timeout).
 const RESULT_WAIT_TIMEOUT: Duration = Duration::from_secs(3600);
+
+/// The listen backlog re-issued on the bound socket (std's `bind` uses
+/// 128; the kernel clamps this to `somaxconn`). The reactor stops polling
+/// the listener once it holds its admission slack, so a connection storm
+/// queues in the kernel; with a short queue the overflow is completed by
+/// SYN cookies, and such connections were seen to lose their first
+/// segment.
+const LISTEN_BACKLOG: i32 = 4096;
 
 /// Connection-hygiene knobs for the TCP transport.
 #[derive(Debug, Clone, Copy)]
@@ -128,117 +133,67 @@ pub struct SessionStats {
 ///
 /// Blank lines are skipped; unparseable lines produce a `parse` error
 /// response instead of killing the session, so one bad client line never
-/// costs the stream.
+/// costs the stream. The session is the TCP transport's [`Session`] under
+/// the default [`ServerConfig`] limits: a line longer than
+/// `max_line_bytes` is answered with a `parse` error and ends the
+/// session, exactly as on a socket. Requests run one at a time, in order.
 ///
 /// # Errors
 ///
-/// Only transport failures (read/write/flush) abort the session; protocol
-/// and engine errors are reported in-band.
+/// Transport failures (read/write/flush) and a session dropped by the
+/// `session.read` failpoint abort the session; protocol and engine
+/// errors are reported in-band.
 pub fn serve_pipe<R: BufRead, W: Write>(
     pool: &ServePool,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> io::Result<SessionStats> {
-    let mut stats = SessionStats::default();
-    for line in reader.lines() {
-        let line = line?;
-        respond_line(pool, &line, &mut writer, &mut stats)?;
-    }
-    Ok(stats)
-}
-
-/// Parse-submit-answer one request line (pipe transport).
-fn respond_line<W: Write>(
-    pool: &ServePool,
-    line: &str,
-    writer: &mut W,
-    stats: &mut SessionStats,
-) -> io::Result<()> {
-    if line.trim().is_empty() {
-        return Ok(());
-    }
-    stats.requests += 1;
-    let response = match parse_request(line) {
-        // `optimize-events` is the one op that answers with *multiple*
-        // lines: it streams per-iteration progress, then closes with a
-        // status line.
-        Ok(env) => {
-            if let Request::OptimizeEvents { job, since, follow } = env.request {
-                return stream_job_events(pool, env.id, job, since, follow, writer, stats);
-            }
-            pool.run(env)
-        }
-        Err(message) => Response::error(None, "?", ErrorKind::Parse, message),
-    };
-    if !response.is_ok() {
-        stats.errors += 1;
-    }
-    write_response(writer, &response)
-}
-
-/// Stream a job's progress: one JSON line per event (flagged
-/// `"event":true`), then one closing status line without the flag.
-///
-/// With `follow`, the loop parks in bounded ticks until the job reaches a
-/// terminal state, so a live tail ends by itself when the job completes,
-/// is cancelled, or fails (a pool drain also terminates every job and
-/// therefore every follower).
-fn stream_job_events<W: Write>(
-    pool: &ServePool,
-    id: Option<u64>,
-    job: u64,
-    since: u64,
-    follow: bool,
-    writer: &mut W,
-    stats: &mut SessionStats,
-) -> io::Result<()> {
-    let error = |stats: &mut SessionStats, kind, message: String| {
-        stats.errors += 1;
-        Response::error(id, "optimize-events", kind, message)
-    };
-    let Some(runner) = pool.jobs() else {
-        let response = error(
-            stats,
-            ErrorKind::BadRequest,
-            "job subsystem disabled (start serve with --max-jobs >= 1)".to_string(),
-        );
-        return write_response(writer, &response);
-    };
-    let mut cursor = since as usize;
+    let config = ServerConfig::default();
+    let mut session = Session::new(&config);
+    let (tx, rx) = mpsc::channel::<Response>();
     loop {
-        let Some((events, terminal)) = runner.events(job, cursor, follow, FOLLOW_TICK) else {
-            let response = error(stats, ErrorKind::BadRequest, format!("unknown job {job}"));
-            return write_response(writer, &response);
-        };
-        for event in &events {
-            writer.write_all(render_job_event(id, job, event).as_bytes())?;
-            writer.write_all(b"\n")?;
+        if session.active.is_none() && session.inbox.is_empty() && session.wants_input() {
+            let chunk = match reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let n = chunk.len().min(READ_CHUNK);
+            if n == 0 {
+                session.end_of_input();
+            } else {
+                session.feed(&chunk[..n]);
+            }
+            reader.consume(n);
         }
-        if !events.is_empty() {
+        session.dispatch(pool, &mut || -> Reply {
+            let tx = tx.clone();
+            Box::new(move |response| {
+                let _ = tx.send(response);
+            })
+        });
+        session.poll_active(pool);
+        if session.active.is_some() {
+            // One reactor tick: a pool answer ends the wait early; a job
+            // op is polled again on the next round.
+            if let Ok(response) = rx.recv_timeout(config.poll_interval) {
+                session.complete(response);
+            }
+        }
+        if !session.out.is_empty() {
+            let (head, tail) = session.out.as_slices();
+            writer.write_all(head)?;
+            writer.write_all(tail)?;
             writer.flush()?;
+            session.out.clear();
         }
-        cursor += events.len();
-        if terminal || !follow {
-            break;
+        if session.dead {
+            return Err(io::Error::other("session dropped"));
+        }
+        if session.finished() {
+            return Ok(session.stats);
         }
     }
-    let report = runner.status(job).expect("a job that produced events has a status");
-    let response = Response {
-        id,
-        op: "optimize-events",
-        outcome: Outcome::job_status(&report),
-        tier: None,
-        cached: false,
-        compute_micros: 0,
-        queue_micros: 0,
-    };
-    write_response(writer, &response)
-}
-
-fn write_response<W: Write>(writer: &mut W, response: &Response) -> io::Result<()> {
-    writer.write_all(response.render().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 /// Transport-layer counters, shared between the reactor (sole writer)
@@ -295,6 +250,298 @@ pub struct TransportSnapshot {
     /// High-water mark of total pending output across all connections,
     /// in bytes — the reactor's write-memory footprint.
     pub write_buffered_peak: u64,
+}
+
+/// A request a session is waiting on (at most one at a time, which keeps
+/// responses in request order with no reorder buffer).
+enum Active {
+    /// Submitted to the worker pool; resolved by [`Session::complete`].
+    Pool,
+    /// An `optimize-events` stream: drained nonblockingly every tick.
+    Events { id: Option<u64>, job: u64, cursor: usize, follow: bool },
+    /// An `optimize-result` with `"wait":true`: the job's terminal state
+    /// is polled every tick instead of parking a thread.
+    ResultWait { id: Option<u64>, job: u64, started: Instant },
+}
+
+/// The transport-independent half of a session, shared by the pipe
+/// driver and the TCP reactor. Bytes are framed into lines across
+/// arbitrary read splits, complete lines queue in a bounded inbox, at
+/// most one request is in flight, and every outbound line goes through
+/// one bounded output buffer that the transport drains. Nothing here
+/// blocks or touches a socket.
+struct Session {
+    /// Bytes read but not yet framed into a line.
+    rbuf: Vec<u8>,
+    /// Prefix of `rbuf` already scanned for a newline.
+    scanned: usize,
+    /// Complete lines awaiting dispatch (bounded by [`INBOX_MAX`]).
+    inbox: VecDeque<String>,
+    /// A line outgrew `max_line`: input has stopped, and once the lines
+    /// framed before it are answered the session answers `parse` and
+    /// closes.
+    overlong: bool,
+    /// Pending output (bounded by `out_cap`).
+    out: VecDeque<u8>,
+    active: Option<Active>,
+    /// No more input will arrive; serve what was framed, then close.
+    eof: bool,
+    /// A final notice is queued; close once `out` drains.
+    closing: bool,
+    /// Condemned; dropped without further output.
+    dead: bool,
+    /// `dead` because one more line would have crossed `out_cap`.
+    overflowed: bool,
+    max_line: usize,
+    out_cap: usize,
+    stats: SessionStats,
+}
+
+impl Session {
+    fn new(config: &ServerConfig) -> Session {
+        Session {
+            rbuf: Vec::new(),
+            scanned: 0,
+            inbox: VecDeque::new(),
+            overlong: false,
+            out: VecDeque::new(),
+            active: None,
+            eof: false,
+            closing: false,
+            dead: false,
+            overflowed: false,
+            max_line: config.max_line_bytes.max(1024),
+            out_cap: config.write_buffer_cap.max(1024),
+            stats: SessionStats::default(),
+        }
+    }
+
+    /// Whether the transport should read more input for this session.
+    fn wants_input(&self) -> bool {
+        !self.eof && !self.closing && !self.dead && self.inbox.len() < INBOX_MAX
+    }
+
+    /// Whether anything is queued or in flight (an idle deadline spares a
+    /// busy session).
+    fn busy(&self) -> bool {
+        self.active.is_some() || self.overlong || !self.inbox.is_empty() || !self.out.is_empty()
+    }
+
+    /// Whether this session has nothing left to do and can be closed.
+    fn finished(&self) -> bool {
+        (self.closing || self.eof) && !self.busy()
+    }
+
+    /// Frame `bytes` into complete lines; scans only bytes not seen
+    /// before, so a byte-at-a-time writer costs no rescans. A line longer
+    /// than `max_line` (framed or still open) stops the input, whatever
+    /// the read split.
+    fn feed(&mut self, bytes: &[u8]) {
+        self.rbuf.extend_from_slice(bytes);
+        while let Some(at) = self.rbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let nl = self.scanned + at;
+            if nl > self.max_line {
+                break; // over the cap whatever the read split: see below
+            }
+            let line: Vec<u8> = self.rbuf.drain(..=nl).collect();
+            self.scanned = 0;
+            self.inbox.push_back(String::from_utf8_lossy(&line[..nl]).into_owned());
+        }
+        self.scanned = self.rbuf.len();
+        if self.rbuf.len() > self.max_line {
+            self.rbuf = Vec::new();
+            self.scanned = 0;
+            self.overlong = true;
+            self.eof = true;
+        }
+    }
+
+    /// The input ended; a final line without a newline is still a request.
+    fn end_of_input(&mut self) {
+        if !self.rbuf.is_empty() {
+            let line = std::mem::take(&mut self.rbuf);
+            self.inbox.push_back(String::from_utf8_lossy(&line).into_owned());
+        }
+        self.scanned = 0;
+        self.eof = true;
+    }
+
+    /// Queue one rendered line (plus newline); a line that does not fit
+    /// condemns the session: the client is not draining its responses,
+    /// and the bound is the memory contract.
+    fn enqueue_line(&mut self, line: &str) {
+        if self.dead {
+            return;
+        }
+        if self.out.len() + line.len() + 1 > self.out_cap {
+            self.dead = true;
+            self.overflowed = true;
+            return;
+        }
+        self.out.extend(line.as_bytes());
+        self.out.push_back(b'\n');
+    }
+
+    fn enqueue(&mut self, response: &Response) {
+        if !response.is_ok() {
+            self.stats.errors += 1;
+        }
+        self.enqueue_line(&response.render());
+    }
+
+    /// Pop and route inbox lines until something is in flight (or the
+    /// inbox is empty). Job control answers inline; pool work is
+    /// submitted with a reply closure from `reply`.
+    fn dispatch(&mut self, pool: &ServePool, reply: &mut dyn FnMut() -> Reply) {
+        while self.active.is_none() && !self.dead && !self.closing {
+            let Some(line) = self.inbox.pop_front() else {
+                if self.overlong {
+                    self.overlong = false;
+                    self.stats.requests += 1;
+                    self.closing = true;
+                    let message = format!(
+                        "request line exceeds {} bytes without a newline; closing session",
+                        self.max_line
+                    );
+                    self.enqueue(&Response::error(None, "?", ErrorKind::Parse, message));
+                }
+                return;
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            if failpoint::hit("session.read").is_err() {
+                self.dead = true;
+                return;
+            }
+            self.stats.requests += 1;
+            let env = match parse_request(&line) {
+                Ok(env) => env,
+                Err(message) => {
+                    self.enqueue(&Response::error(None, "?", ErrorKind::Parse, message));
+                    continue;
+                }
+            };
+            match env.request {
+                Request::OptimizeEvents { job, since, follow } => {
+                    self.active = Some(Active::Events {
+                        id: env.id,
+                        job,
+                        cursor: since as usize,
+                        follow,
+                    });
+                }
+                Request::OptimizeResult { job, wait: true } => {
+                    self.active =
+                        Some(Active::ResultWait { id: env.id, job, started: Instant::now() });
+                }
+                // Job control is registry lookups; answering inline keeps
+                // it independent of a full query queue.
+                Request::OptimizeSubmit { .. }
+                | Request::OptimizeStatus { .. }
+                | Request::OptimizeCancel { .. }
+                | Request::OptimizeResult { .. } => self.enqueue(&pool.run(env)),
+                _ => {
+                    let id = env.id;
+                    let op = env.request.op_name();
+                    let (kind, message) = match pool.submit_with(env, reply()) {
+                        Ok(()) => {
+                            self.active = Some(Active::Pool);
+                            continue;
+                        }
+                        Err(SubmitError::Overloaded { depth }) => (
+                            ErrorKind::Overloaded,
+                            format!("request queue full (depth {depth}); retry later"),
+                        ),
+                        Err(SubmitError::ShuttingDown) => (
+                            ErrorKind::Draining,
+                            "pool is draining; request not accepted".to_string(),
+                        ),
+                    };
+                    self.enqueue(&Response::error(id, op, kind, message));
+                }
+            }
+        }
+    }
+
+    /// The pool answered the in-flight request.
+    fn complete(&mut self, response: Response) {
+        if matches!(self.active, Some(Active::Pool)) {
+            self.active = None;
+        }
+        self.enqueue(&response);
+    }
+
+    /// Advance a pending job op without blocking: queue whatever
+    /// `optimize-events` has buffered, or check whether a waited-on job
+    /// went terminal. Re-arms itself until done.
+    fn poll_active(&mut self, pool: &ServePool) {
+        let (id, job, op) = match self.active {
+            Some(Active::Events { id, job, .. }) => (id, job, "optimize-events"),
+            Some(Active::ResultWait { id, job, .. }) => (id, job, "optimize-result"),
+            Some(Active::Pool) | None => return,
+        };
+        let Some(active) = self.active.take() else { return };
+        let Some(runner) = pool.jobs() else {
+            let message = "job subsystem disabled (start serve with --max-jobs >= 1)";
+            self.enqueue(&Response::error(id, op, ErrorKind::BadRequest, message.to_string()));
+            return;
+        };
+        let job_reply = |outcome| Response {
+            id,
+            op,
+            outcome,
+            tier: None,
+            cached: false,
+            compute_micros: 0,
+            queue_micros: 0,
+        };
+        let unknown =
+            || Response::error(id, op, ErrorKind::BadRequest, format!("unknown job {job}"));
+        match active {
+            Active::Events { cursor, follow, .. } => {
+                let Some((events, terminal)) =
+                    runner.events(job, cursor, false, Duration::ZERO)
+                else {
+                    self.enqueue(&unknown());
+                    return;
+                };
+                let mut sent = 0;
+                for event in &events {
+                    let line = render_job_event(id, job, event);
+                    // A long backlog is paced by the output bound, not
+                    // shed: what does not fit goes out after a flush.
+                    if !self.out.is_empty() && self.out.len() + line.len() + 1 > self.out_cap {
+                        break;
+                    }
+                    self.enqueue_line(&line);
+                    if self.dead {
+                        return;
+                    }
+                    sent += 1;
+                }
+                if sent < events.len() || (follow && !terminal) {
+                    let cursor = cursor + sent;
+                    self.active = Some(Active::Events { id, job, cursor, follow });
+                } else if let Some(report) = runner.status(job) {
+                    self.enqueue(&job_reply(Outcome::job_status(&report)));
+                }
+            }
+            Active::ResultWait { started, .. } => {
+                let Some(report) = runner.status(job) else {
+                    self.enqueue(&unknown());
+                    return;
+                };
+                let terminal = matches!(report.state, "completed" | "cancelled" | "failed");
+                if terminal || started.elapsed() >= RESULT_WAIT_TIMEOUT {
+                    self.enqueue(&job_reply(Outcome::job_result(&report)));
+                } else {
+                    self.active = Some(Active::ResultWait { id, job, started });
+                }
+            }
+            Active::Pool => unreachable!("pool requests are resolved by complete()"),
+        }
+    }
 }
 
 /// The pool-worker → reactor completion channel: finished responses plus
@@ -357,6 +604,7 @@ impl TcpServer {
         config: ServerConfig,
     ) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
+        sys::listen_backlog(raw_fd(&listener), LISTEN_BACKLOG)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         // The self-wake pair: a loopback connection whose read end sits in
@@ -375,17 +623,19 @@ impl TcpServer {
             Arc::new(Completions { queue: Mutex::new(Vec::new()), wake: wake_tx.try_clone()? });
         let reactor = Reactor {
             pool,
-            config,
-            stats: Arc::clone(&stats),
             completions,
             shutdown: Arc::clone(&shutdown),
             listener,
             wake_rx,
             conns: HashMap::new(),
-            wheel: TimerWheel::new(Duration::from_millis(5), 512),
+            ctx: Ctx {
+                config,
+                stats: Arc::clone(&stats),
+                wheel: TimerWheel::new(Duration::from_millis(5), 512),
+                buffered_total: 0,
+            },
             next_token: 1,
             serving: 0,
-            buffered_total: 0,
         };
         let reactor_thread = std::thread::Builder::new()
             .name("reecc-serve-reactor".to_string())
@@ -424,12 +674,7 @@ impl TcpServer {
     pub fn stop(&mut self) -> io::Result<()> {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = (&self.wake).write(&[1u8]);
-        match self.reactor_thread.take() {
-            Some(handle) => handle
-                .join()
-                .unwrap_or_else(|_| Err(io::Error::other("reactor thread panicked"))),
-            None => Ok(()),
-        }
+        self.join()
     }
 
     /// Block this thread until the reactor exits (shutdown or I/O
@@ -439,6 +684,10 @@ impl TcpServer {
     ///
     /// Returns the reactor's I/O error, if it died on one.
     pub fn run_forever(mut self) -> io::Result<()> {
+        self.join()
+    }
+
+    fn join(&mut self) -> io::Result<()> {
         match self.reactor_thread.take() {
             Some(handle) => handle
                 .join()
@@ -464,78 +713,57 @@ enum Mode {
     Shedding,
 }
 
-/// A request this connection is waiting on (at most one at a time, which
-/// keeps responses in request order with no reorder buffer).
-enum Active {
-    /// Submitted to the worker pool; resolved by the completion queue.
-    Pool,
-    /// An `optimize-events` stream: drained nonblockingly every tick.
-    Events { id: Option<u64>, job: u64, cursor: usize, follow: bool },
-    /// An `optimize-result` with `"wait":true`: the job's terminal state
-    /// is polled every tick instead of parking a thread.
-    ResultWait { id: Option<u64>, job: u64, started: Instant },
-}
-
-/// One connection's state machine.
+/// One connection: a socket, its [`Session`], and the clocks the
+/// reactor's deadlines read.
 struct Conn {
     stream: TcpStream,
     mode: Mode,
-    /// Bytes read but not yet framed into a line.
-    rbuf: Vec<u8>,
-    /// Prefix of `rbuf` already scanned for a newline.
-    scanned: usize,
-    /// Complete lines awaiting dispatch (bounded by [`INBOX_MAX`]).
-    inbox: VecDeque<String>,
-    /// Pending output (bounded by `write_buffer_cap`).
-    out: VecDeque<u8>,
-    active: Option<Active>,
+    session: Session,
     last_activity: Instant,
-    /// Set while `out` is nonempty: the last instant the socket accepted
+    /// Set while output is pending: the last instant the socket accepted
     /// bytes (or the enqueue instant); the write-stall clock.
     stalled_since: Option<Instant>,
-    /// The client half-closed; serve what was pipelined, then close.
-    eof: bool,
-    /// A final notice is queued; close once `out` drains.
-    closing: bool,
-    /// Condemned; reaped at the end of the tick.
-    dead: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, mode: Mode, now: Instant) -> Conn {
+    fn new(stream: TcpStream, mode: Mode, config: &ServerConfig, now: Instant) -> Conn {
         Conn {
             stream,
             mode,
-            rbuf: Vec::new(),
-            scanned: 0,
-            inbox: VecDeque::new(),
-            out: VecDeque::new(),
-            active: None,
+            session: Session::new(config),
             last_activity: now,
             stalled_since: None,
-            eof: false,
-            closing: false,
-            dead: false,
         }
     }
 
-    /// Whether this connection has nothing left to do and can be closed.
-    fn finished(&self) -> bool {
-        (self.closing || self.eof)
-            && self.out.is_empty()
-            && self.inbox.is_empty()
-            && self.active.is_none()
+    /// Run one session step, then account for the output it queued:
+    /// reactor-wide buffered bytes and their peak, and the write-stall
+    /// clock, which starts when output lands on an empty buffer.
+    fn step(&mut self, token: u64, ctx: &mut Ctx, step: impl FnOnce(&mut Session)) {
+        let before = self.session.out.len();
+        step(&mut self.session);
+        let queued = self.session.out.len().saturating_sub(before);
+        if queued == 0 {
+            return;
+        }
+        ctx.buffered_total += queued;
+        ctx.stats.write_buffered_peak.fetch_max(ctx.buffered_total as u64, Ordering::Relaxed);
+        if before == 0 {
+            let now = Instant::now();
+            self.stalled_since = Some(now);
+            ctx.wheel.schedule(timer_token(token, TIMER_STALL), now + ctx.config.write_timeout);
+        }
     }
 }
 
-/// Everything a per-connection operation may touch besides the `Conn`
-/// itself; split out so the reactor can hold `&mut` to one connection and
-/// to this at the same time (disjoint fields of [`Reactor`]).
-struct Ctx<'a> {
-    config: &'a ServerConfig,
-    stats: &'a TransportStats,
-    wheel: &'a mut TimerWheel,
-    buffered_total: &'a mut usize,
+/// Everything a per-connection step may touch besides the `Conn` itself;
+/// a separate field of [`Reactor`] so both can be borrowed at once.
+struct Ctx {
+    config: ServerConfig,
+    stats: Arc<TransportStats>,
+    wheel: TimerWheel,
+    /// Total pending output across all connections, in bytes.
+    buffered_total: usize,
 }
 
 /// Timer-wheel token encoding: connection token × 2, low bit selects the
@@ -552,21 +780,17 @@ fn timer_token(conn_token: u64, kind: u64) -> u64 {
 /// tick itself.
 struct Reactor {
     pool: Arc<ServePool>,
-    config: ServerConfig,
-    stats: Arc<TransportStats>,
     completions: Arc<Completions>,
     shutdown: Arc<AtomicBool>,
     listener: TcpListener,
     wake_rx: TcpStream,
     conns: HashMap<u64, Conn>,
-    wheel: TimerWheel,
+    ctx: Ctx,
     /// Monotonic connection tokens; never reused, so a stale completion
     /// or timer entry for a gone connection falls on the floor.
     next_token: u64,
     /// Connections in [`Mode::Serving`] (the admission-control count).
     serving: usize,
-    /// Total pending output across all connections, in bytes.
-    buffered_total: usize,
 }
 
 #[cfg(unix)]
@@ -589,13 +813,13 @@ fn is_wouldblock(kind: io::ErrorKind) -> bool {
 impl Reactor {
     /// Admission slack: beyond `max_connections` the reactor still admits
     /// up to two accept bursts of [`Mode::Shedding`] connections (to say
-    /// goodbye politely); past that, storms are hard-closed.
+    /// goodbye politely); past that, storms wait in the listen backlog.
     fn slack_cap(&self) -> usize {
-        self.config.max_connections.max(1) + 2 * self.config.accept_burst.max(1)
+        self.ctx.config.max_connections.max(1) + 2 * self.ctx.config.accept_burst.max(1)
     }
 
     fn run(mut self) -> io::Result<()> {
-        let tick = self.config.poll_interval.max(Duration::from_millis(1));
+        let tick = self.ctx.config.poll_interval.max(Duration::from_millis(1));
         let mut fds: Vec<PollFd> = Vec::new();
         let mut fd_tokens: Vec<u64> = Vec::new();
         let mut due: Vec<u64> = Vec::new();
@@ -610,10 +834,10 @@ impl Reactor {
             fds.push(PollFd::new(raw_fd(&self.wake_rx), sys::POLLIN));
             for (&token, conn) in &self.conns {
                 let mut events = 0i16;
-                if !conn.closing && !conn.eof && conn.inbox.len() < INBOX_MAX {
+                if conn.session.wants_input() {
                     events |= sys::POLLIN;
                 }
-                if !conn.out.is_empty() {
+                if !conn.session.out.is_empty() {
                     events |= sys::POLLOUT;
                 }
                 fds.push(PollFd::new(raw_fd(&conn.stream), events));
@@ -629,33 +853,32 @@ impl Reactor {
             }
             // Readiness over the snapshot taken before poll: a token that
             // died meanwhile just misses (get_mut returns None).
-            {
-                let conns = &mut self.conns;
-                let mut ctx = Ctx {
-                    config: &self.config,
-                    stats: &self.stats,
-                    wheel: &mut self.wheel,
-                    buffered_total: &mut self.buffered_total,
-                };
-                for (i, &token) in fd_tokens.iter().enumerate() {
-                    let pfd = fds[2 + i];
-                    let Some(conn) = conns.get_mut(&token) else { continue };
-                    if pfd.ready(sys::POLLNVAL) {
-                        conn.dead = true;
-                        continue;
-                    }
-                    // On hangup, read anyway: data may still be queued
-                    // ahead of the EOF.
-                    if pfd.ready(sys::POLLIN | sys::POLLERR | sys::POLLHUP) {
-                        read_conn(conn, token, &mut ctx);
-                    }
+            for (i, &token) in fd_tokens.iter().enumerate() {
+                let pfd = fds[2 + i];
+                let Some(conn) = self.conns.get_mut(&token) else { continue };
+                if pfd.ready(sys::POLLNVAL) {
+                    conn.session.dead = true;
+                    continue;
+                }
+                // On hangup, read anyway: data may still be queued ahead
+                // of the EOF.
+                if pfd.ready(sys::POLLIN | sys::POLLERR | sys::POLLHUP) {
+                    read_conn(conn, token, &mut self.ctx);
                 }
             }
-            self.dispatch_all();
-            self.poll_actives();
-            self.flush_all();
+            let (pool, completions) = (&self.pool, &self.completions);
+            for (&token, conn) in &mut self.conns {
+                conn.step(token, &mut self.ctx, |session| {
+                    session.dispatch(pool, &mut || -> Reply {
+                        let completions = Arc::clone(completions);
+                        Box::new(move |response| completions.push(token, response))
+                    });
+                    session.poll_active(pool);
+                });
+                flush_conn(conn, &mut self.ctx);
+            }
             due.clear();
-            self.wheel.collect_due(Instant::now(), &mut due);
+            self.ctx.wheel.collect_due(Instant::now(), &mut due);
             for &entry in &due {
                 self.fire_timer(entry);
             }
@@ -683,23 +906,10 @@ impl Reactor {
             let mut queue = self.completions.queue.lock().expect("completion queue poisoned");
             std::mem::take(&mut *queue)
         };
-        if batch.is_empty() {
-            return;
-        }
-        let conns = &mut self.conns;
-        let mut ctx = Ctx {
-            config: &self.config,
-            stats: &self.stats,
-            wheel: &mut self.wheel,
-            buffered_total: &mut self.buffered_total,
-        };
         for (token, response) in batch {
-            let Some(conn) = conns.get_mut(&token) else { continue };
-            if matches!(conn.active, Some(Active::Pool)) {
-                conn.active = None;
-            }
+            let Some(conn) = self.conns.get_mut(&token) else { continue };
             conn.last_activity = Instant::now();
-            enqueue_response(conn, token, &mut ctx, &response);
+            conn.step(token, &mut self.ctx, |session| session.complete(response));
         }
     }
 
@@ -707,7 +917,7 @@ impl Reactor {
         if let Err(_msg) = failpoint::hit("transport.accept") {
             return; // injected accept fault: skip this tick's accepts
         }
-        for _ in 0..self.config.accept_burst.max(1) {
+        for _ in 0..self.ctx.config.accept_burst.max(1) {
             if self.conns.len() >= self.slack_cap() {
                 break;
             }
@@ -723,120 +933,56 @@ impl Reactor {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        let stats = &self.ctx.stats;
+        stats.accepted.fetch_add(1, Ordering::Relaxed);
         if stream.set_nonblocking(true).is_err() {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
+            stats.shed.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        stats.active.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
         let token = self.next_token;
         self.next_token += 1;
-        let cap = self.config.max_connections.max(1);
-        if self.serving >= cap {
-            // Over cap: one polite `overloaded` line through the same
-            // bounded write path as any response, then close.
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            let mut conn = Conn::new(stream, Mode::Shedding, now);
-            conn.closing = true;
-            self.stats.active.fetch_add(1, Ordering::Relaxed);
+        let cap = self.ctx.config.max_connections.max(1);
+        if self.serving < cap {
+            self.serving += 1;
+            let conn = Conn::new(stream, Mode::Serving, &self.ctx.config, now);
             self.conns.insert(token, conn);
-            let line = Response::error(
-                None,
-                "?",
-                ErrorKind::Overloaded,
-                format!("connection limit reached ({cap} live sessions); retry later"),
-            )
-            .render();
-            let mut ctx = Ctx {
-                config: &self.config,
-                stats: &self.stats,
-                wheel: &mut self.wheel,
-                buffered_total: &mut self.buffered_total,
-            };
-            if let Some(conn) = self.conns.get_mut(&token) {
-                enqueue_line(conn, token, &mut ctx, &line);
-            }
+            let idle = now + self.ctx.config.idle_timeout;
+            self.ctx.wheel.schedule(timer_token(token, TIMER_IDLE), idle);
             return;
         }
-        self.serving += 1;
-        self.stats.active.fetch_add(1, Ordering::Relaxed);
-        self.conns.insert(token, Conn::new(stream, Mode::Serving, now));
-        self.wheel.schedule(timer_token(token, TIMER_IDLE), now + self.config.idle_timeout);
-    }
-
-    fn dispatch_all(&mut self) {
-        let tokens: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.active.is_none() && !c.dead && !c.closing && !c.inbox.is_empty())
-            .map(|(&t, _)| t)
-            .collect();
-        let conns = &mut self.conns;
-        let mut ctx = Ctx {
-            config: &self.config,
-            stats: &self.stats,
-            wheel: &mut self.wheel,
-            buffered_total: &mut self.buffered_total,
-        };
-        for token in tokens {
-            let Some(conn) = conns.get_mut(&token) else { continue };
-            dispatch_conn(conn, token, &mut ctx, &self.pool, &self.completions);
-        }
-    }
-
-    fn poll_actives(&mut self) {
-        let tokens: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| !c.dead && !matches!(c.active, None | Some(Active::Pool)))
-            .map(|(&t, _)| t)
-            .collect();
-        let conns = &mut self.conns;
-        let mut ctx = Ctx {
-            config: &self.config,
-            stats: &self.stats,
-            wheel: &mut self.wheel,
-            buffered_total: &mut self.buffered_total,
-        };
-        for token in tokens {
-            let Some(conn) = conns.get_mut(&token) else { continue };
-            poll_active(conn, token, &mut ctx, &self.pool);
-        }
-    }
-
-    fn flush_all(&mut self) {
-        let conns = &mut self.conns;
-        let mut ctx = Ctx {
-            config: &self.config,
-            stats: &self.stats,
-            wheel: &mut self.wheel,
-            buffered_total: &mut self.buffered_total,
-        };
-        for conn in conns.values_mut() {
-            flush_conn(conn, &mut ctx);
-        }
+        // Over cap: one polite `overloaded` line through the same bounded
+        // write path as any response, then close.
+        stats.shed.fetch_add(1, Ordering::Relaxed);
+        let mut conn = Conn::new(stream, Mode::Shedding, &self.ctx.config, now);
+        let message = format!("connection limit reached ({cap} live sessions); retry later");
+        conn.step(token, &mut self.ctx, |session| {
+            session.closing = true;
+            session.enqueue(&Response::error(None, "?", ErrorKind::Overloaded, message));
+        });
+        self.conns.insert(token, conn);
     }
 
     fn fire_timer(&mut self, entry: u64) {
         let token = entry >> 1;
         let kind = entry & 1;
-        let conns = &mut self.conns;
-        let wheel = &mut self.wheel;
-        let Some(conn) = conns.get_mut(&token) else { return };
-        if conn.dead {
+        let ctx = &mut self.ctx;
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if conn.session.dead {
             return;
         }
         let now = Instant::now();
         if kind == TIMER_STALL {
             match conn.stalled_since {
-                Some(since) if !conn.out.is_empty() => {
-                    if now.saturating_duration_since(since) >= self.config.write_timeout {
+                Some(since) if !conn.session.out.is_empty() => {
+                    if now.saturating_duration_since(since) >= ctx.config.write_timeout {
                         // The client stopped reading; there is no point
                         // queueing a goodbye it will not drain.
-                        self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
-                        conn.dead = true;
+                        ctx.stats.timed_out.fetch_add(1, Ordering::Relaxed);
+                        conn.session.dead = true;
                     } else {
-                        wheel.schedule(entry, since + self.config.write_timeout);
+                        ctx.wheel.schedule(entry, since + ctx.config.write_timeout);
                     }
                 }
                 _ => {} // drained meanwhile; the deadline lapses
@@ -845,33 +991,27 @@ impl Reactor {
         }
         // Idle: only a quiet connection with nothing in flight is
         // reaped — a job follower or a parked `wait` is not idle.
-        if conn.closing || conn.eof {
+        if conn.session.closing || conn.session.eof {
             return;
         }
-        let busy = conn.active.is_some() || !conn.inbox.is_empty() || !conn.out.is_empty();
+        let busy = conn.session.busy();
         let idle_for = now.saturating_duration_since(conn.last_activity);
-        if !busy && idle_for >= self.config.idle_timeout {
-            self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
-            let response = Response::error(
-                None,
-                "?",
-                ErrorKind::DeadlineExceeded,
-                format!(
-                    "idle for {:?} (limit {:?}); closing session",
-                    idle_for, self.config.idle_timeout
-                ),
-            );
-            conn.closing = true;
-            let mut ctx = Ctx {
-                config: &self.config,
-                stats: &self.stats,
-                wheel,
-                buffered_total: &mut self.buffered_total,
-            };
-            enqueue_response(conn, token, &mut ctx, &response);
+        let limit = ctx.config.idle_timeout;
+        if !busy && idle_for >= limit {
+            ctx.stats.timed_out.fetch_add(1, Ordering::Relaxed);
+            let message = format!("idle for {idle_for:?} (limit {limit:?}); closing session");
+            conn.step(token, ctx, |session| {
+                session.closing = true;
+                session.enqueue(&Response::error(
+                    None,
+                    "?",
+                    ErrorKind::DeadlineExceeded,
+                    message,
+                ));
+            });
         } else {
             let base = if busy { now } else { conn.last_activity };
-            wheel.schedule(entry, base + self.config.idle_timeout);
+            ctx.wheel.schedule(entry, base + limit);
         }
     }
 
@@ -879,17 +1019,20 @@ impl Reactor {
         let finished: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.dead || c.finished())
+            .filter(|(_, c)| c.session.dead || c.session.finished())
             .map(|(&t, _)| t)
             .collect();
         for token in finished {
             if let Some(conn) = self.conns.remove(&token) {
-                self.buffered_total -= conn.out.len();
+                self.ctx.buffered_total -= conn.session.out.len();
+                if conn.session.overflowed {
+                    self.ctx.stats.write_buffer_sheds.fetch_add(1, Ordering::Relaxed);
+                }
                 if conn.mode == Mode::Serving {
                     self.serving -= 1;
                 }
                 let _ = conn.stream.shutdown(Shutdown::Both);
-                self.stats.active.fetch_sub(1, Ordering::Relaxed);
+                self.ctx.stats.active.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -897,312 +1040,75 @@ impl Reactor {
     fn teardown(&mut self) {
         for (_, conn) in self.conns.drain() {
             let _ = conn.stream.shutdown(Shutdown::Both);
-            self.stats.active.fetch_sub(1, Ordering::Relaxed);
+            self.ctx.stats.active.fetch_sub(1, Ordering::Relaxed);
         }
         self.serving = 0;
-        self.buffered_total = 0;
+        self.ctx.buffered_total = 0;
     }
 }
 
-/// Queue one already-rendered line (plus newline) on a connection's
-/// bounded write buffer; sheds the connection if the line does not fit.
-fn enqueue_line(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, line: &str) {
-    if conn.dead {
-        return;
-    }
-    let needed = line.len() + 1;
-    let cap = ctx.config.write_buffer_cap.max(1024);
-    if conn.out.len() + needed > cap {
-        // The client is not draining responses; the buffer bound is the
-        // memory contract, so the connection goes, not the bound.
-        ctx.stats.write_buffer_sheds.fetch_add(1, Ordering::Relaxed);
-        conn.dead = true;
-        return;
-    }
-    let was_empty = conn.out.is_empty();
-    conn.out.extend(line.as_bytes().iter().copied());
-    conn.out.push_back(b'\n');
-    *ctx.buffered_total += needed;
-    ctx.stats.write_buffered_peak.fetch_max(*ctx.buffered_total as u64, Ordering::Relaxed);
-    if was_empty {
-        let now = Instant::now();
-        conn.stalled_since = Some(now);
-        ctx.wheel.schedule(timer_token(token, TIMER_STALL), now + ctx.config.write_timeout);
-    }
-}
-
-fn enqueue_response(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, response: &Response) {
-    enqueue_line(conn, token, ctx, &response.render());
-}
-
-/// Drain readable bytes into lines; bounded per tick by [`READ_ROUNDS`]
-/// and by the inbox cap.
-fn read_conn(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>) {
-    if conn.dead || conn.closing || conn.eof {
+/// Drain readable bytes into the session; bounded per tick by
+/// [`READ_ROUNDS`] and by the inbox cap.
+fn read_conn(conn: &mut Conn, token: u64, ctx: &mut Ctx) {
+    if !conn.session.wants_input() {
         return;
     }
     if failpoint::hit("transport.read").is_err() {
-        conn.dead = true;
+        conn.session.dead = true;
         return;
     }
-    let max_line = ctx.config.max_line_bytes.max(1024);
-    let mut chunk = [0u8; 4096];
+    let mut chunk = [0u8; READ_CHUNK];
     for _ in 0..READ_ROUNDS {
-        if conn.inbox.len() >= INBOX_MAX {
+        if !conn.session.wants_input() {
             break;
         }
         match (&conn.stream).read(&mut chunk) {
             Ok(0) => {
-                conn.eof = true;
+                conn.session.end_of_input();
                 break;
             }
             Ok(n) => {
                 ctx.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
                 conn.last_activity = Instant::now();
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                // Frame complete lines; scan only bytes not seen before.
-                while let Some(at) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n')
-                {
-                    let nl = conn.scanned + at;
-                    let line: Vec<u8> = conn.rbuf.drain(..=nl).collect();
-                    conn.scanned = 0;
-                    conn.inbox.push_back(String::from_utf8_lossy(&line[..nl]).into_owned());
-                }
-                conn.scanned = conn.rbuf.len();
-                if conn.rbuf.len() > max_line {
-                    conn.closing = true;
-                    let response = Response::error(
-                        None,
-                        "?",
-                        ErrorKind::Parse,
-                        format!(
-                            "request line exceeds {max_line} bytes without a newline; \
-                             closing session"
-                        ),
-                    );
-                    enqueue_response(conn, token, ctx, &response);
-                    return;
-                }
+                conn.step(token, ctx, |session| session.feed(&chunk[..n]));
             }
             Err(e) if is_wouldblock(e.kind()) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 // Mid-frame disconnect or reset: nothing to answer.
-                conn.dead = true;
+                conn.session.dead = true;
                 break;
-            }
-        }
-    }
-}
-
-/// Pop and route inbox lines until something is in flight (or the inbox
-/// is empty). At most one pool/job request per connection is pending at
-/// a time; inline job-control ops answer immediately.
-fn dispatch_conn(
-    conn: &mut Conn,
-    token: u64,
-    ctx: &mut Ctx<'_>,
-    pool: &Arc<ServePool>,
-    completions: &Arc<Completions>,
-) {
-    while conn.active.is_none() && !conn.dead && !conn.closing {
-        let Some(line) = conn.inbox.pop_front() else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if failpoint::hit("session.read").is_err() {
-            conn.dead = true;
-            return;
-        }
-        let env = match parse_request(&line) {
-            Ok(env) => env,
-            Err(message) => {
-                let response = Response::error(None, "?", ErrorKind::Parse, message);
-                enqueue_response(conn, token, ctx, &response);
-                continue;
-            }
-        };
-        enum Route {
-            Events { job: u64, since: u64, follow: bool },
-            Wait { job: u64 },
-            Inline,
-            Pool,
-        }
-        let route = match &env.request {
-            Request::OptimizeEvents { job, since, follow } => {
-                Route::Events { job: *job, since: *since, follow: *follow }
-            }
-            Request::OptimizeResult { job, wait: true } => Route::Wait { job: *job },
-            Request::OptimizeSubmit { .. }
-            | Request::OptimizeStatus { .. }
-            | Request::OptimizeCancel { .. }
-            | Request::OptimizeResult { .. } => Route::Inline,
-            _ => Route::Pool,
-        };
-        match route {
-            Route::Events { job, since, follow } => {
-                conn.active =
-                    Some(Active::Events { id: env.id, job, cursor: since as usize, follow });
-            }
-            Route::Wait { job } => {
-                conn.active =
-                    Some(Active::ResultWait { id: env.id, job, started: Instant::now() });
-            }
-            // Job control is registry lookups; answering inline keeps it
-            // independent of a full query queue (same rule as pipe mode).
-            Route::Inline => {
-                let response = pool.run(env);
-                enqueue_response(conn, token, ctx, &response);
-            }
-            Route::Pool => {
-                let id = env.id;
-                let op = env.request.op_name();
-                let cb = Arc::clone(completions);
-                match pool.submit_with(env, Box::new(move |response| cb.push(token, response)))
-                {
-                    Ok(()) => conn.active = Some(Active::Pool),
-                    Err(SubmitError::Overloaded { depth }) => {
-                        let response = Response::error(
-                            id,
-                            op,
-                            ErrorKind::Overloaded,
-                            format!("request queue full (depth {depth}); retry later"),
-                        );
-                        enqueue_response(conn, token, ctx, &response);
-                    }
-                    Err(SubmitError::ShuttingDown) => {
-                        let response = Response::error(
-                            id,
-                            op,
-                            ErrorKind::Draining,
-                            "pool is draining; request not accepted".to_string(),
-                        );
-                        enqueue_response(conn, token, ctx, &response);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Advance a connection's pending job op without blocking: pull whatever
-/// `optimize-events` has buffered, or check whether a waited-on job went
-/// terminal. Re-arms itself until done.
-fn poll_active(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, pool: &Arc<ServePool>) {
-    let Some(active) = conn.active.take() else { return };
-    match active {
-        Active::Pool => conn.active = Some(Active::Pool),
-        Active::Events { id, job, cursor, follow } => {
-            let Some(runner) = pool.jobs() else {
-                let response = Response::error(
-                    id,
-                    "optimize-events",
-                    ErrorKind::BadRequest,
-                    "job subsystem disabled (start serve with --max-jobs >= 1)".to_string(),
-                );
-                enqueue_response(conn, token, ctx, &response);
-                return;
-            };
-            let Some((events, terminal)) = runner.events(job, cursor, false, Duration::ZERO)
-            else {
-                let response = Response::error(
-                    id,
-                    "optimize-events",
-                    ErrorKind::BadRequest,
-                    format!("unknown job {job}"),
-                );
-                enqueue_response(conn, token, ctx, &response);
-                return;
-            };
-            for event in &events {
-                enqueue_line(conn, token, ctx, &render_job_event(id, job, event));
-                if conn.dead {
-                    return; // buffer shed mid-stream
-                }
-            }
-            let cursor = cursor + events.len();
-            if terminal || !follow {
-                if let Some(report) = runner.status(job) {
-                    let response = Response {
-                        id,
-                        op: "optimize-events",
-                        outcome: Outcome::job_status(&report),
-                        tier: None,
-                        cached: false,
-                        compute_micros: 0,
-                        queue_micros: 0,
-                    };
-                    enqueue_response(conn, token, ctx, &response);
-                }
-            } else {
-                conn.active = Some(Active::Events { id, job, cursor, follow });
-            }
-        }
-        Active::ResultWait { id, job, started } => {
-            let Some(runner) = pool.jobs() else {
-                let response = Response::error(
-                    id,
-                    "optimize-result",
-                    ErrorKind::BadRequest,
-                    "job subsystem disabled (start serve with --max-jobs >= 1)".to_string(),
-                );
-                enqueue_response(conn, token, ctx, &response);
-                return;
-            };
-            let Some(report) = runner.status(job) else {
-                let response = Response::error(
-                    id,
-                    "optimize-result",
-                    ErrorKind::BadRequest,
-                    format!("unknown job {job}"),
-                );
-                enqueue_response(conn, token, ctx, &response);
-                return;
-            };
-            let terminal = matches!(report.state, "completed" | "cancelled" | "failed");
-            if terminal || started.elapsed() >= RESULT_WAIT_TIMEOUT {
-                let response = Response {
-                    id,
-                    op: "optimize-result",
-                    outcome: Outcome::job_result(&report),
-                    tier: None,
-                    cached: false,
-                    compute_micros: 0,
-                    queue_micros: 0,
-                };
-                enqueue_response(conn, token, ctx, &response);
-            } else {
-                conn.active = Some(Active::ResultWait { id, job, started });
             }
         }
     }
 }
 
 /// Write as much pending output as the socket will take; progress resets
-/// the stall clock, and a drained `closing`/`eof` connection is condemned
-/// (the reap pass closes it).
-fn flush_conn(conn: &mut Conn, ctx: &mut Ctx<'_>) {
-    if conn.dead {
+/// the stall clock, and a drained `closing` connection is condemned (the
+/// reap pass closes it).
+fn flush_conn(conn: &mut Conn, ctx: &mut Ctx) {
+    let session = &mut conn.session;
+    if session.dead {
         return;
     }
-    if !conn.out.is_empty() {
+    if !session.out.is_empty() {
         if failpoint::hit("transport.write").is_err() {
-            conn.dead = true;
+            session.dead = true;
             return;
         }
         loop {
-            let (front, _) = conn.out.as_slices();
+            let (front, _) = session.out.as_slices();
             if front.is_empty() {
                 break;
             }
             match (&conn.stream).write(front) {
                 Ok(0) => {
-                    conn.dead = true;
+                    session.dead = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.out.drain(..n);
-                    *ctx.buffered_total -= n;
+                    session.out.drain(..n);
+                    ctx.buffered_total -= n;
                     ctx.stats.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
                     let now = Instant::now();
                     conn.stalled_since = Some(now);
@@ -1211,23 +1117,23 @@ fn flush_conn(conn: &mut Conn, ctx: &mut Ctx<'_>) {
                 Err(e) if is_wouldblock(e.kind()) => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    conn.dead = true;
+                    session.dead = true;
                     break;
                 }
             }
         }
     }
-    if conn.out.is_empty() {
+    if session.out.is_empty() {
         conn.stalled_since = None;
-        if conn.closing {
+        if session.closing {
             let _ = conn.stream.shutdown(Shutdown::Write);
             // Discard any request bytes the client pipelined after the
             // goodbye line: closing a socket with unread data makes the
             // kernel send RST, which would destroy the in-flight notice
             // before a polite client could read it.
-            let mut scratch = [0u8; 4096];
+            let mut scratch = [0u8; READ_CHUNK];
             while matches!((&conn.stream).read(&mut scratch), Ok(n) if n > 0) {}
-            conn.dead = true;
+            session.dead = true;
         }
     }
 }
@@ -1495,5 +1401,203 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert!(line.contains("exceeds") && line.contains("\"error\":\"parse\""), "{line:?}");
+    }
+
+    /// Masks the two timing fields so answers compare across runs.
+    fn mask_timings(line: &str) -> String {
+        let mut out = line.to_string();
+        for key in ["\"micros\":", "\"queue_micros\":"] {
+            if let Some(at) = out.find(key) {
+                let start = at + key.len();
+                let end = start + out[start..].bytes().take_while(u8::is_ascii_digit).count();
+                out.replace_range(start..end, "_");
+            }
+        }
+        out
+    }
+
+    /// A request script exercising every framing path: answers, a cache
+    /// hit, blank lines, parse errors, too-deep nesting, inline job
+    /// control, an over-cap line (which ends the session), and a line
+    /// after it that must never be answered.
+    fn script(max_line: usize) -> String {
+        let mut s = String::new();
+        s.push_str("{\"op\":\"ecc\",\"v\":3,\"id\":1}\n\n   \nnot json\n");
+        s.push_str("{\"op\":\"res\",\"u\":0,\"v\":5,\"id\":2}\n{\"op\":\"radius\",\"id\":3}\n");
+        s.push_str("{\"op\":\"ecc\",\"v\":999}\n{\"op\":\"nope\"}\n");
+        s.push_str(&"[".repeat(200));
+        s.push('\n');
+        s.push_str(
+            "{\"op\":\"optimize-status\",\"job\":1,\"id\":4}\n{\"op\":\"ecc\",\"v\":3}\n",
+        );
+        s.push_str("{\"op\":\"diameter\",\"id\":5}\n{\"op\":\"ecc\",\"v\":7,\"id\":6}\n");
+        s.push_str(&format!("{{\"op\":\"ecc\",\"pad\":\"{}\"}}\n", "x".repeat(max_line)));
+        s.push_str("{\"op\":\"ecc\",\"v\":1,\"id\":7}\n");
+        s
+    }
+
+    /// Feed `chunks` into one session, settling after each chunk the way
+    /// a transport does, and return the masked output lines.
+    fn drive_session(pool: &ServePool, config: &ServerConfig, chunks: &[&[u8]]) -> Vec<String> {
+        let mut session = Session::new(config);
+        let (tx, rx) = mpsc::channel::<Response>();
+        let settle = |session: &mut Session| loop {
+            session.dispatch(pool, &mut || -> Reply {
+                let tx = tx.clone();
+                Box::new(move |response| {
+                    let _ = tx.send(response);
+                })
+            });
+            session.poll_active(pool);
+            match session.active {
+                Some(_) => {
+                    let response =
+                        rx.recv_timeout(Duration::from_secs(60)).expect("pool answers");
+                    session.complete(response);
+                }
+                None => break,
+            }
+        };
+        for chunk in chunks {
+            if !session.wants_input() {
+                break;
+            }
+            session.feed(chunk);
+            settle(&mut session);
+        }
+        if session.wants_input() {
+            session.end_of_input();
+        }
+        settle(&mut session);
+        let out: Vec<u8> = session.out.drain(..).collect();
+        assert!(session.finished(), "a settled session at end of input is finished");
+        String::from_utf8(out).unwrap().lines().map(mask_timings).collect()
+    }
+
+    #[test]
+    fn session_answers_identically_under_random_read_splits() {
+        let engine = Arc::new(
+            QueryEngine::build(
+                &barabasi_albert(40, 2, 11),
+                &SketchParams { epsilon: 0.5, seed: 5, ..Default::default() },
+            )
+            .unwrap(),
+        );
+        let fresh_pool = || {
+            ServePool::new(
+                Arc::clone(&engine),
+                PoolConfig { threads: 2, queue_depth: 32, ..Default::default() },
+            )
+        };
+        let config = ServerConfig { max_line_bytes: 1024, ..ServerConfig::default() };
+        let text = script(1024);
+        // Reference: one complete line per read.
+        let lines: Vec<String> = text.split_inclusive('\n').map(str::to_string).collect();
+        let whole: Vec<&[u8]> = lines.iter().map(|l| l.as_bytes()).collect();
+        let reference = drive_session(&fresh_pool(), &config, &whole);
+        assert_eq!(reference.len(), 12, "{reference:#?}");
+        assert!(reference[7].contains("\"error\":\"bad-request\""), "{}", reference[7]);
+        assert!(reference[11].contains("exceeds 1024 bytes"), "{}", reference[11]);
+        assert!(reference[6].contains("nesting"), "{}", reference[6]);
+        assert!(reference[8].contains("\"cached\":true"), "{}", reference[8]);
+        // Seeded splits of 1..=64 bytes (xorshift; std only).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..12 {
+            let bytes = text.as_bytes();
+            let mut chunks = Vec::new();
+            let mut at = 0;
+            while at < bytes.len() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let len = (1 + state % 64) as usize;
+                let end = (at + len).min(bytes.len());
+                chunks.push(&bytes[at..end]);
+                at = end;
+            }
+            assert_eq!(drive_session(&fresh_pool(), &config, &chunks), reference);
+        }
+    }
+
+    #[test]
+    fn pipe_and_tcp_give_identical_lines_for_one_script() {
+        let max_line = ServerConfig::default().max_line_bytes;
+        let text = script(max_line);
+        let mut out = Vec::new();
+        let stats = serve_pipe(&test_pool(), text.as_bytes(), &mut out).unwrap();
+        assert_eq!(stats, SessionStats { requests: 12, errors: 6 });
+        let piped: Vec<String> =
+            String::from_utf8(out).unwrap().lines().map(mask_timings).collect();
+
+        let server = TcpServer::start_with(test_pool(), "127.0.0.1:0", quick_config()).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(text.as_bytes());
+            let _ = writer.shutdown(Shutdown::Write);
+        });
+        let mut received = String::new();
+        BufReader::new(stream).read_to_string(&mut received).unwrap();
+        sender.join().unwrap();
+        let socketed: Vec<String> = received.lines().map(mask_timings).collect();
+        assert_eq!(piped.len(), 12, "{piped:#?}");
+        assert_eq!(piped, socketed);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_and_both_transports_keep_serving() {
+        let deep = "[".repeat(60_000);
+        let input = format!("{deep}\n{{\"op\":\"ecc\",\"v\":1}}\n");
+        let mut out = Vec::new();
+        let stats = serve_pipe(&test_pool(), input.as_bytes(), &mut out).unwrap();
+        assert_eq!(stats, SessionStats { requests: 2, errors: 1 });
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].contains("\"error\":\"parse\"") && lines[0].contains("nesting"));
+        assert!(lines[1].contains("\"ok\":true"), "{text}");
+
+        let server = TcpServer::start_with(test_pool(), "127.0.0.1:0", quick_config()).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        writer.write_all(input.as_bytes()).unwrap();
+        for want in ["\"error\":\"parse\"", "\"ok\":true"] {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(want), "{line}");
+        }
+        // The same connection keeps serving.
+        writeln!(writer, "{{\"op\":\"ecc\",\"v\":2}}").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"ok\":true"), "{line}");
+    }
+
+    #[test]
+    fn a_two_megabyte_pipe_line_gets_the_tcp_over_cap_answer() {
+        let huge = "[".repeat(2 * 1024 * 1024);
+        let input = format!("{{\"op\":\"ecc\",\"v\":1}}\n{huge}\n{{\"op\":\"ecc\",\"v\":2}}\n");
+        let mut out = Vec::new();
+        let stats = serve_pipe(&test_pool(), input.as_bytes(), &mut out).unwrap();
+        assert_eq!(stats, SessionStats { requests: 2, errors: 1 });
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "the session ends at the over-cap line: {text}");
+        assert!(lines[0].contains("\"ok\":true"), "{text}");
+
+        // TCP: enough of the same line to cross the cap.
+        let server = TcpServer::start_with(test_pool(), "127.0.0.1:0", quick_config()).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let _ =
+            writer.write_all(&huge.as_bytes()[..ServerConfig::default().max_line_bytes + 1]);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(mask_timings(line.trim_end()), mask_timings(lines[1]));
+        assert!(line.contains("\"error\":\"parse\"") && line.contains("exceeds"), "{line}");
     }
 }

@@ -1,13 +1,15 @@
 //! Thin std-only OS shim for the event-loop transport.
 //!
 //! The workspace is offline, so there is no `libc` crate; the reactor
-//! ([`crate::server`]) needs exactly three things the standard library
+//! ([`crate::server`]) needs exactly four things the standard library
 //! does not expose, and this module declares them directly against the
 //! C runtime that `std` already links:
 //!
 //! * [`poll_fds`] — `poll(2)` over raw fds harvested with
 //!   `std::os::fd::AsRawFd`, the readiness multiplexer the reactor is
 //!   built on;
+//! * [`listen_backlog`] — `listen(2)` re-issued on a bound listener, since
+//!   std fixes the accept-queue length at 128;
 //! * [`term_flag`] — a `signal(2)`-installed SIGTERM/SIGINT handler that
 //!   flips one process-global atomic, so `reecc serve --addr` can turn a
 //!   termination signal into a graceful drain instead of an abrupt exit;
@@ -16,7 +18,7 @@
 //!
 //! Everything is best-effort on non-Unix targets: [`poll_fds`] reports
 //! `Unsupported` (the TCP event loop needs a Unix-ish platform; pipe mode
-//! is unaffected) and the other two quietly do nothing.
+//! is unaffected) and the other three quietly do nothing.
 
 use std::io;
 use std::sync::atomic::AtomicBool;
@@ -93,6 +95,7 @@ mod imp {
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+        fn listen(fd: i32, backlog: i32) -> i32;
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
@@ -115,6 +118,16 @@ mod imp {
             return Ok(0);
         }
         Err(err)
+    }
+
+    pub fn listen_backlog(fd: i32, backlog: i32) -> io::Result<()> {
+        // SAFETY: `listen` takes plain integers; on an already-listening
+        // socket it only resizes the accept queue.
+        if unsafe { listen(fd, backlog) } == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
     }
 
     static TERM: AtomicBool = AtomicBool::new(false);
@@ -167,6 +180,10 @@ mod imp {
         ))
     }
 
+    pub fn listen_backlog(_fd: i32, _backlog: i32) -> io::Result<()> {
+        Ok(())
+    }
+
     static TERM: AtomicBool = AtomicBool::new(false);
 
     pub fn term_flag() -> &'static AtomicBool {
@@ -189,6 +206,16 @@ mod imp {
 /// The raw OS error from `poll(2)`, or `Unsupported` on non-Unix targets.
 pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
     imp::poll_fds(fds, timeout)
+}
+
+/// Re-issue `listen(2)` on the bound listener `fd` with an accept queue
+/// of `backlog` connections (the kernel clamps it to `somaxconn`).
+///
+/// # Errors
+///
+/// The raw OS error from `listen(2)`; a no-op on non-Unix targets.
+pub fn listen_backlog(fd: i32, backlog: i32) -> io::Result<()> {
+    imp::listen_backlog(fd, backlog)
 }
 
 /// Install (idempotently) a SIGTERM/SIGINT handler that flips the

@@ -82,6 +82,7 @@ fn finished_plan(runner: &JobRunner, id: u64, want: &str) -> Vec<(usize, usize, 
 
 #[test]
 fn pipe_session_runs_a_job_to_a_plan_matching_the_direct_optimizer() {
+    let _fp = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pool = ServePool::with_live_and_jobs(
         live(),
         PoolConfig { threads: 2, queue_depth: 32, ..Default::default() },
